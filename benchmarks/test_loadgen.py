@@ -1,11 +1,5 @@
-"""Thousand-client open-loop load cells (PR 10).
-
-The headline assertion banks PR 6's named headroom: with cross-client
-completion batching armed, the kernel dispatches at most 0.8x the
-events per operation of the unbatched run on the same 1k-client cell —
-a deterministic, seeded comparison (wall-clock speedup is reported but
-not asserted; interpreter noise swamps it on shared CI runners).
-"""
+"""Thousand-client open-loop load cells: SLO attainment on a healthy
+1k-client cell and per-tenant goodput accounting under bursts."""
 
 from dataclasses import replace
 
@@ -24,23 +18,6 @@ def _fmt(report):
         f"p999 {t.p999_ns / 1e3:.1f}us slo {t.slo_fraction * 100:.1f}% "
         f"goodput {t.goodput_ops_s:.0f}/s events/op {report.events_per_op:.2f}"
     )
-
-
-def test_thousand_client_completion_batching(show):
-    """Batching must cut kernel events/op by >=20% on the 1k-client cell."""
-    base = load_cell_spec("YCSB-C", CLIENTS, scaled(40), seed=42)
-    off = run_load(replace(base, completion_batching=False))
-    on = run_load(base)
-    show(
-        "1k-client completion batching (YCSB-C):\n"
-        f"  off: {_fmt(off)}\n"
-        f"  on:  {_fmt(on)}\n"
-        f"  events/op ratio {on.events_per_op / off.events_per_op:.3f}"
-    )
-    assert on.clients == CLIENTS
-    assert on.total_errors == off.total_errors == 0
-    assert on.sim["batched_waits"] > 0
-    assert on.events_per_op <= 0.8 * off.events_per_op
 
 
 def test_thousand_client_slo_under_load(show):
@@ -75,7 +52,6 @@ def test_multitenant_burst_goodput(show):
     report = run_load(
         LoadSpec(
             tenants=(gold, bulk), seed=42,
-            completion_batching=True, batch_bucket_ns=256.0,
             admission_watermark=64,
         )
     )

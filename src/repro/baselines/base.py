@@ -422,6 +422,19 @@ class BaseServer:
     def stop(self) -> None:
         self.rpc.stop()
 
+    def admission_metrics(self) -> Optional[dict[str, int]]:
+        """Partition-summed admission-control counters, or None when the
+        watermark is off (the default)."""
+        if self.config.admission_watermark <= 0:
+            return None
+        return {
+            "watermark": self.config.admission_watermark,
+            "admitted": sum(p.admitted_requests for p in self.partitions),
+            "shed": sum(p.shed_requests for p in self.partitions),
+            "peak_inflight": max(p.peak_inflight for p in self.partitions),
+            "inflight": sum(p.inflight for p in self.partitions),
+        }
+
     def connect_client(self, client_node: Node) -> tuple[Endpoint, ClientSession]:
         """Connection setup: returns the client-side endpoint and the
         session metadata (rkeys, geometry, partition map) the server

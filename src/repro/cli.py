@@ -183,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="amortization = the PR-5 hot-path cells; cluster = "
         "replication-factor scaling, failover time, migration throughput; "
         "parity = PUT throughput with the integrity tier off vs. on; "
-        "load = thousand-client open-loop cells with completion batching "
-        "off vs. on",
+        "load = thousand-client open-loop cells",
     )
     bench_p.add_argument("--ops", type=int, default=256)
     bench_p.add_argument("--value-size", type=int, default=64)
@@ -214,16 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bk_p = sub.add_parser(
         "bench-kernel",
-        help="kernel scheduler microbenchmark + fast-path equivalence",
+        help="analytic fast-path microbenchmark + fig1/fig2 equivalence",
     )
-    bk_p.add_argument("--drain-events", type=int, default=60_000)
-    bk_p.add_argument("--ping-events", type=int, default=30_000)
     bk_p.add_argument("--verb-ops", type=int, default=4_000)
     bk_p.add_argument("--equiv-ops", type=int, default=40)
     bk_p.add_argument(
         "--skip-equivalence",
         action="store_true",
-        help="only run the wall-clock cells",
+        help="only run the wall-clock cell",
     )
     bk_p.add_argument(
         "--min-verb-ratio",
@@ -267,11 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--admission", type=int, default=0, metavar="WATERMARK",
         help="per-partition admission watermark (0 = off)",
     )
-    lg_p.add_argument(
-        "--no-batching", action="store_true",
-        help="disable cross-client completion batching",
-    )
-    lg_p.add_argument("--bucket-ns", type=float, default=256.0)
     lg_p.add_argument(
         "--churn", type=int, default=0, metavar="N",
         help="rotate each client's hot set every N draws (0 = off)",
@@ -655,14 +647,6 @@ def _cmd_bench(args: argparse.Namespace) -> tuple[str, Any]:
                     f"{t['slo_fraction'] * 100.0:.1f}",
                     f"{t['goodput_ops_s']:.0f}",
                 )
-        comp = payload["batching_comparison"]
-        extra = (
-            f"\ncompletion batching on {comp['cell']}: "
-            f"events/op {comp['off']['events_per_op']:.2f} -> "
-            f"{comp['on']['events_per_op']:.2f} "
-            f"(ratio {comp['events_per_op_ratio']:.3f}), "
-            f"wall speedup {comp['wall_speedup']:.2f}x"
-        )
         title = "Open-loop load cells"
         with open(out, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -670,7 +654,6 @@ def _cmd_bench(args: argparse.Namespace) -> tuple[str, Any]:
             banner(title)
             + "\n"
             + table.render()
-            + extra
             + f"\n(json written to {out})"
         )
         return text, payload
@@ -782,8 +765,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> tuple[str, Any]:
         tenants=tuple(tenants),
         store=args.store,
         seed=args.seed,
-        completion_batching=not args.no_batching,
-        batch_bucket_ns=args.bucket_ns,
         admission_watermark=args.admission,
         churn_rotate_every=args.churn,
     )
@@ -809,13 +790,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> tuple[str, Any]:
     lines = [
         banner(f"Open-loop load: {report.clients} clients on {report.store}"),
         table.render(),
-        f"events/op {report.events_per_op:.2f}"
-        + (
-            f"  batches {report.sim['batches']}"
-            f"  batched waits {report.sim['batched_waits']}"
-            if "batches" in report.sim
-            else ""
-        ),
+        f"events/op {report.events_per_op:.2f}",
     ]
     if report.admission is not None:
         a = report.admission
@@ -834,20 +809,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> tuple[str, Any]:
 def _cmd_bench_kernel(args: argparse.Namespace) -> tuple[str, Any, int]:
     from repro.harness.kernelbench import run_equivalence_check, run_kernel_suite
 
-    payload: dict[str, Any] = run_kernel_suite(
-        drain_events=args.drain_events,
-        ping_events=args.ping_events,
-        verb_ops=args.verb_ops,
-    )
-    table = Table(["cell", "baseline", "wheel/fast", "ratio"])
-    for cell, unit in (("drain", "ev/s"), ("ping", "ev/s")):
-        row = payload[cell]
-        table.add(
-            cell,
-            f"{row['heap']['events_per_sec']:,.0f} {unit}",
-            f"{row['wheel']['events_per_sec']:,.0f} {unit}",
-            f"{row['ratio']:.2f}x",
-        )
+    payload: dict[str, Any] = run_kernel_suite(verb_ops=args.verb_ops)
+    table = Table(["cell", "fast path off", "fast path on", "ratio"])
     verb = payload["verb"]
     table.add(
         "verb",

@@ -112,16 +112,11 @@ class EFactoryServer(BaseServer):
                 "events_per_op": processed / total_ops if total_ops else 0,
             },
         }
-        if self.config.admission_watermark > 0:
+        admission = self.admission_metrics()
+        if admission is not None:
             # Only present when the knob is on, so every legacy metrics
             # consumer sees an unchanged dict shape.
-            out["admission"] = {
-                "watermark": self.config.admission_watermark,
-                "admitted": sum(p.admitted_requests for p in self.partitions),
-                "shed": sum(p.shed_requests for p in self.partitions),
-                "peak_inflight": max(p.peak_inflight for p in self.partitions),
-                "inflight": sum(p.inflight for p in self.partitions),
-            }
+            out["admission"] = admission
         if self.partitions[0].integrity is not None:
             integ: dict[str, int] = {}
             for part in self.partitions:

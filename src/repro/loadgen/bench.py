@@ -3,13 +3,10 @@
 Cells:
 
 * one 1k-client single-tenant cell per mix (default YCSB-A/B/C) on a
-  constant arrival curve, completion batching and admission armed;
+  constant arrival curve, admission armed;
 * one multi-tenant burst cell — a latency-sensitive ``gold`` tenant on
   a constant curve sharing the store with a ``bulk`` tenant driving
-  periodic 4× bursts — reporting per-tenant goodput under distinct SLOs;
-* a batching off/on comparison on the largest cell, reporting the
-  events-per-op ratio (the PR 6 headroom this engine banks) and the
-  wall-clock ops/s ratio.
+  periodic 4× bursts — reporting per-tenant goodput under distinct SLOs.
 
 Simulated percentiles/goodput are deterministic; wall-clock fields
 (``wall_s``, ``wall_ops_per_s``) vary run to run and are informational.
@@ -18,7 +15,6 @@ Simulated percentiles/goodput are deterministic; wall-clock fields
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Optional
 
 from repro.loadgen.arrivals import ArrivalCurve
@@ -30,14 +26,8 @@ __all__ = ["run_load_bench_suite", "load_cell_spec"]
 
 #: Mean rate per client (ops/s) — at 1k clients this offers 2M ops/s,
 #: comfortably inside the store's capacity (queueing stays bounded, the
-#: SLO is meetable) while keeping arrivals dense enough that completion
-#: grid ticks are shared across clients.
+#: SLO is meetable).
 _RATE_PER_CLIENT_OPS_S = 2_000.0
-#: Completion-grid bucket for the load cells. Wider than the kernel's
-#: 128 ns wheel bucket: the sweep showed 256 ns maximizes cross-client
-#: sharing before latency quantization starts costing more events than
-#: batching saves.
-_BUCKET_NS = 256.0
 _SLO_NS = 25_000.0
 
 
@@ -51,7 +41,6 @@ def load_cell_spec(
     key_count: int = 1024,
     curve: Optional[ArrivalCurve] = None,
     admission_watermark: int = 64,
-    completion_batching: bool = True,
 ) -> LoadSpec:
     """The canonical single-tenant cell used by the load suite."""
     w = WORKLOADS[mix](key_count=key_count, value_len=value_len)
@@ -67,8 +56,6 @@ def load_cell_spec(
     return LoadSpec(
         tenants=(tenant,),
         seed=seed,
-        completion_batching=completion_batching,
-        batch_bucket_ns=_BUCKET_NS,
         admission_watermark=admission_watermark,
     )
 
@@ -120,41 +107,9 @@ def run_load_bench_suite(
         LoadSpec(
             tenants=(gold, bulk),
             seed=seed,
-            completion_batching=True,
-            batch_bucket_ns=_BUCKET_NS,
             admission_watermark=64,
         )
     )
-
-    # -- completion batching off vs on (same cell, same seed) -----------------
-    base = load_cell_spec("YCSB-C", clients, ops_per_client, seed)
-    off = _timed(replace(base, completion_batching=False))
-    on = _timed(base)
-    comparison = {
-        "cell": "YCSB-C",
-        "clients": clients,
-        "off": {
-            "events_per_op": off["events_per_op"],
-            "wall_s": off["wall_s"],
-            "wall_ops_per_s": off["wall_ops_per_s"],
-        },
-        "on": {
-            "events_per_op": on["events_per_op"],
-            "wall_s": on["wall_s"],
-            "wall_ops_per_s": on["wall_ops_per_s"],
-        },
-        #: < 1.0 means batching dispatches fewer kernel events per op.
-        "events_per_op_ratio": (
-            on["events_per_op"] / off["events_per_op"]
-            if off["events_per_op"] > 0
-            else float("nan")
-        ),
-        "wall_speedup": (
-            on["wall_ops_per_s"] / off["wall_ops_per_s"]
-            if off["wall_ops_per_s"] > 0
-            else float("nan")
-        ),
-    }
 
     return {
         "suite": "load",
@@ -162,7 +117,6 @@ def run_load_bench_suite(
         "ops_per_client": ops_per_client,
         "seed": seed,
         "cells": cells,
-        "batching_comparison": comparison,
     }
 
 

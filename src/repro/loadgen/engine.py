@@ -10,10 +10,6 @@ SLO.
 
 Scale-out machinery (all opt-in, armed here):
 
-* **completion batching** — the engine arms the fabric's
-  :class:`~repro.rdma.batch.CompletionBatcher` so verb completions
-  *and* arrival ticks across all clients coalesce onto one shared time
-  grid, cutting kernel events per op as concurrency grows;
 * **admission control** — a per-partition watermark
   (``StoreConfig.admission_watermark``) sheds over-limit requests with
   retryable ``ERR_BUSY``; the engine attaches the PR 2 retry/backoff
@@ -61,9 +57,6 @@ class LoadSpec:
     tenants: tuple[TenantSpec, ...]
     store: str = "efactory"
     seed: int = 42
-    #: Coalesce completion waits and arrival ticks onto a shared grid.
-    completion_batching: bool = True
-    batch_bucket_ns: float = 128.0
     #: Per-partition admission watermark (0 = off, bit-identical paths).
     admission_watermark: int = 0
     #: Attach retry/backoff to every client. ``None`` = auto: on exactly
@@ -88,8 +81,6 @@ class LoadSpec:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ConfigError("tenant names must be unique")
-        if self.batch_bucket_ns <= 0:
-            raise ConfigError("batch_bucket_ns must be positive")
         if self.admission_watermark < 0:
             raise ConfigError("admission_watermark must be >= 0")
         if self.churn_rotate_every < 0:
@@ -163,7 +154,7 @@ class LoadReport:
     total_errors: int
     window_ns: float
     #: Kernel events dispatched per issued application op during the
-    #: measured phase (the completion-batching headline metric).
+    #: measured phase.
     events_per_op: float
     sim: dict
     admission: Optional[dict]
@@ -235,8 +226,6 @@ def run_load(spec: LoadSpec) -> LoadReport:
     ).start()
     if spec.fault_plan is not None and not spec.fault_plan.empty:
         arm_store(setup, spec.fault_plan, rngs=rngs.fork("faults"))
-    if spec.completion_batching:
-        setup.fabric.enable_completion_batching(spec.batch_bucket_ns)
     if spec.retry_enabled:
         # timeout racing would add a process + timer per op at 1k-client
         # scale; faults and ERR_BUSY sheds surface as exceptions anyway.
@@ -330,7 +319,6 @@ def run_load(spec: LoadSpec) -> LoadReport:
     t_start = [float("inf")] * len(spec.tenants)
     t_end = [0.0] * len(spec.tenants)
     inj = setup.fabric.injector
-    bat = setup.fabric.batcher
 
     def client_proc(ti: int, ci: int, client) -> Generator[Event, Any, None]:
         tenant = spec.tenants[ti]
@@ -350,12 +338,7 @@ def run_load(spec: LoadSpec) -> LoadReport:
                 if act is not None and act.kind == "client_stall":
                     due += act.delay_ns
             if env.now < due:
-                # Arrival ticks ride the completion grid too: one kernel
-                # event can wake every client due in the same bucket.
-                if bat is None:
-                    yield env.timeout_at(due)
-                else:
-                    yield bat.wait_until(due)
+                yield env.timeout_at(due)
             yield from client.poll_notifications()
             gid = base + op.key_id
             key = make_key(gid, w.key_len)
@@ -424,12 +407,8 @@ def run_load(spec: LoadSpec) -> LoadReport:
         "events_scheduled": env.events_scheduled - ev0_scheduled,
         "events_processed": measured_events,
         "issued_ops": issued,
-        "batching": spec.completion_batching,
     }
-    if bat is not None:
-        sim["batches"] = bat.batches
-        sim["batched_waits"] = bat.batched_waits
-    admission = setup.server.metrics().get("admission")
+    admission = setup.server.admission_metrics()
     res = {
         "enabled": spec.retry_enabled,
         "retries": sum(

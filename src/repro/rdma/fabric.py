@@ -151,14 +151,6 @@ class Fabric:
         #: full event path while the fast path was enabled.
         self.fastpath_ops = 0
         self.fallback_ops = 0
-        #: Cross-client completion batcher
-        #: (:class:`repro.rdma.batch.CompletionBatcher`), or None. When
-        #: armed, fast-path verbs coalesce their completion wake-ups onto
-        #: a shared time grid — one kernel event resumes every client
-        #: whose completion lands in the same grid tick, at the price of
-        #: an upward latency quantization < ``bucket_ns``. Default-off;
-        #: only the open-loop load engine arms it.
-        self.batcher = None
 
     def jitter(self) -> float:
         """One sample of per-work-request latency noise."""
@@ -176,15 +168,6 @@ class Fabric:
         """True when verbs may attempt the analytic fast path at all
         (per-verb engine-idleness checks still apply)."""
         return self.fastpath and self.injector is None
-
-    def enable_completion_batching(self, bucket_ns: float = 128.0):
-        """Arm cross-client completion batching (idempotent); returns the
-        batcher so callers can read its counters."""
-        if self.batcher is None:
-            from repro.rdma.batch import CompletionBatcher
-
-            self.batcher = CompletionBatcher(self.env, bucket_ns)
-        return self.batcher
 
     # -- topology ------------------------------------------------------------
     def create_node(

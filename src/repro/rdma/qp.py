@@ -231,20 +231,13 @@ class Endpoint:
                 apply_at=t_done + t.propagation_ns + t.dma_ns,
                 t_start=t_done,
             )
-            bat = fabric.batcher
-            if bat is None:
-                yield env.timeout_at(t_done + (t.propagation_ns + t.dma_ns))
-            else:
-                yield bat.wait_until(t_done + (t.propagation_ns + t.dma_ns))
+            yield env.timeout_at(t_done + (t.propagation_ns + t.dma_ns))
             if not fabric.apply_inflight(fl):
                 raise QPError(
                     f"WRITE to {self.remote.name} flushed (target down)",
                     code="target_down",
                 )
-            if bat is None:
-                yield env.timeout(t.propagation_ns + t.nic_rx_ns)
-            else:
-                yield bat.wait_until(env.now + (t.propagation_ns + t.nic_rx_ns))
+            yield env.timeout(t.propagation_ns + t.nic_rx_ns)
             self._fast_done()
             return WorkCompletion(wr_id, Opcode.WRITE, completed_at=env.now)
         if fast:
@@ -467,11 +460,7 @@ class Endpoint:
             self.local.tx_reserved_until = t_req
             if pipelined > 0:
                 t_req = t_req + pipelined
-            bat = fabric.batcher
-            if bat is None:
-                yield env.timeout_at(t_req + (t.propagation_ns + t.dma_ns))
-            else:
-                yield bat.wait_until(t_req + (t.propagation_ns + t.dma_ns))
+            yield env.timeout_at(t_req + (t.propagation_ns + t.dma_ns))
             fabric.check_target(self.remote)
             # Target NIC snapshots memory now, then streams the response.
             data = mr.device.read(addr, length)
@@ -485,10 +474,7 @@ class Endpoint:
                 self.remote.tx_reserved_until = t_resp
                 if pipelined > 0:
                     t_resp = t_resp + pipelined
-                if bat is None:
-                    yield env.timeout_at(t_resp + (t.propagation_ns + t.nic_rx_ns))
-                else:
-                    yield bat.wait_until(t_resp + (t.propagation_ns + t.nic_rx_ns))
+                yield env.timeout_at(t_resp + (t.propagation_ns + t.nic_rx_ns))
                 self._fast_done()
                 return data
             fabric.fallback_ops += 1
@@ -533,23 +519,14 @@ class Endpoint:
             pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
             if pipelined > 0:
                 t_done = t_done + pipelined
-            bat = fabric.batcher
-            if bat is None:
-                yield env.timeout_at(
-                    t_done + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
-                )
-            else:
-                yield bat.wait_until(
-                    t_done + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
-                )
+            yield env.timeout_at(
+                t_done + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
+            )
             fabric.check_target(self.remote)
             old = mr.device.read(addr, 8)
             if old == expected:
                 mr.device.write_atomic64(addr, desired)
-            if bat is None:
-                yield env.timeout(t.propagation_ns + t.nic_rx_ns)
-            else:
-                yield bat.wait_until(env.now + (t.propagation_ns + t.nic_rx_ns))
+            yield env.timeout(t.propagation_ns + t.nic_rx_ns)
             self._fast_done()
             return old
         if fast:
@@ -588,23 +565,14 @@ class Endpoint:
             pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
             if pipelined > 0:
                 t_done = t_done + pipelined
-            bat = fabric.batcher
-            if bat is None:
-                yield env.timeout_at(
-                    t_done + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
-                )
-            else:
-                yield bat.wait_until(
-                    t_done + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
-                )
+            yield env.timeout_at(
+                t_done + (t.propagation_ns + t.dma_ns + t.atomic_extra_ns)
+            )
             fabric.check_target(self.remote)
             old = int.from_bytes(mr.device.read(addr, 8), "little")
             new = (old + delta) & 0xFFFFFFFFFFFFFFFF
             mr.device.write_atomic64(addr, new.to_bytes(8, "little"))
-            if bat is None:
-                yield env.timeout(t.propagation_ns + t.nic_rx_ns)
-            else:
-                yield bat.wait_until(env.now + (t.propagation_ns + t.nic_rx_ns))
+            yield env.timeout(t.propagation_ns + t.nic_rx_ns)
             self._fast_done()
             return old
         if fast:
@@ -648,17 +616,10 @@ class Endpoint:
             pipelined = t.nic_tx_ns - t.nic_tx_occupancy_ns
             if pipelined > 0:
                 t_done = t_done + pipelined
-            bat = fabric.batcher
-            if bat is None:
-                yield env.timeout_at(
-                    t_done
-                    + (t.propagation_ns + t.nic_rx_ns + t.two_sided_rx_cost(wire_bytes))
-                )
-            else:
-                yield bat.wait_until(
-                    t_done
-                    + (t.propagation_ns + t.nic_rx_ns + t.two_sided_rx_cost(wire_bytes))
-                )
+            yield env.timeout_at(
+                t_done
+                + (t.propagation_ns + t.nic_rx_ns + t.two_sided_rx_cost(wire_bytes))
+            )
             fabric.check_target(self.remote)
             msg = Message(
                 Opcode.SEND,

@@ -1,5 +1,5 @@
 """Analytic fast path: eligibility/fallback matrix, exact equivalence
-with the event path, and determinism under the wheel scheduler."""
+with the event path, and determinism under the heap scheduler."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.harness.runner import RunSpec, run_experiment
 from repro.nvm.device import NVMDevice
 from repro.rdma.cq import CompletionQueue, post_write
 from repro.rdma.fabric import Fabric
-from repro.sim.heapkernel import HeapEnvironment
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.workloads.ycsb import update_only, ycsb_c
@@ -144,8 +143,8 @@ class TestExactEquivalence:
     def test_macro_cell_same_ns_fewer_events(self):
         """The posted-WRITE macro pattern simulates identical time with
         less than half the events per op."""
-        base = _bench_verbs(HeapEnvironment, 300, fastpath=False)
-        fast = _bench_verbs(Environment, 300, fastpath=True)
+        base = _bench_verbs(300, fastpath=False)
+        fast = _bench_verbs(300, fastpath=True)
         assert fast["sim_ns"] == base["sim_ns"]
         assert fast["fastpath_ops"] == 300
         assert fast["events_per_op"] < base["events_per_op"] / 2

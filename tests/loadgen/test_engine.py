@@ -1,5 +1,5 @@
 """Open-loop load engine: determinism, SLO accounting, admission
-control end-to-end, completion batching, chaos hooks."""
+control end-to-end, chaos hooks."""
 
 import pytest
 
@@ -111,27 +111,6 @@ class TestEngine:
             TenantSpec(name="", workload=ycsb_b())
         with pytest.raises(ConfigError):
             TenantSpec(name="x", workload=ycsb_b(), rate_ops_s=0.0)
-
-
-class TestCompletionBatching:
-    def test_batching_reduces_events_and_preserves_results(self):
-        base = small_spec()
-        on = run_load(base)
-        off = run_load(
-            LoadSpec(
-                tenants=base.tenants, completion_batching=False,
-                settle_ns=base.settle_ns,
-            )
-        )
-        assert on.sim["batched_waits"] > 0
-        assert on.sim["events_processed"] < off.sim["events_processed"]
-        # same ops complete either way
-        assert on.tenants[0].ops == off.tenants[0].ops
-        assert on.total_errors == off.total_errors == 0
-
-    def test_batching_off_reports_no_counters(self):
-        off = run_load(small_spec(completion_batching=False))
-        assert "batches" not in off.sim
 
 
 class TestAdmissionControl:

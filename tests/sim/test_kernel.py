@@ -9,6 +9,8 @@ from repro.sim.kernel import (
     Environment,
     Event,
     Interrupt,
+    PRIORITY_LOW,
+    PRIORITY_NORMAL,
     PRIORITY_URGENT,
     Timeout,
 )
@@ -368,3 +370,151 @@ class TestDeterminism:
             return results
 
         assert world(Environment()) == world(Environment())
+
+
+def _dispatch_order(schedule):
+    """Schedule ``(delay, priority, tag)`` entries, return dispatch order."""
+    env = Environment()
+    order = []
+    for delay, priority, tag in schedule:
+        ev = env.event()
+        ev.callbacks.append(lambda _e, t=tag: order.append(t))
+        env.schedule(ev, delay=delay, priority=priority)
+    env.run()
+    return order
+
+
+class TestDispatchOrder:
+    def test_dispatch_order_is_sorted_by_time_priority_seq(self):
+        """Mixed-priority same-timestamp groups spread over ~393 us
+        dispatch in exactly ``sorted`` (time, priority, seq) order, in
+        whatever order they were scheduled."""
+        window = 1024 * 128.0
+        sched = []
+        stamps = (0.0, 100.0, window - 1.0, window, window + 1.0, window * 3)
+        for i, base in enumerate(stamps):
+            sched.append((base, PRIORITY_NORMAL, f"n{i}"))
+            sched.append((base, PRIORITY_URGENT, f"u{i}"))
+            sched.append((base, PRIORITY_NORMAL, f"n{i}b"))
+            sched.append((base, PRIORITY_LOW, f"l{i}"))
+        for entries in (sched, sched[::-1]):
+            expected = [
+                tag
+                for _t, _p, _seq, tag in sorted(
+                    (delay, prio, seq, tag)
+                    for seq, (delay, prio, tag) in enumerate(entries)
+                )
+            ]
+            assert _dispatch_order(entries) == expected
+        assert _dispatch_order(sched)[:4] == ["u0", "n0", "n0b", "l0"]
+
+    def test_schedule_at_now_after_run_until_dispatches_first(self):
+        """A schedule at ``now`` right after run(until=T) moved the clock
+        past the last event must still dispatch, and first."""
+        env = Environment()
+        env.timeout(300_000.0)
+        env.run(until=320_000.0)
+        order = []
+        ev = env.event()
+        ev.callbacks.append(lambda _e: order.append("now"))
+        env.schedule(ev, delay=0.0)
+        later = env.timeout(1.0)
+        later.callbacks.append(lambda _e: order.append("later"))
+        env.run()
+        assert order == ["now", "later"]
+
+
+class TestTimeoutFreelist:
+    def test_plain_timeout_recycled(self):
+        env = Environment()
+
+        def proc():
+            t1 = env.timeout(5.0)
+            yield t1
+            # t1 is recycled only after our resume returns to dispatch
+            # (the resumed frame may still inspect it), so reuse shows
+            # up one allocation later.
+            t2 = env.timeout(7.0)
+            assert t2 is not t1
+            yield t2
+            t3 = env.timeout(3.0)
+            assert t3 is t1  # recycled through the freelist
+            assert t3.delay == 3.0
+            yield t3
+
+        env.run(env.process(proc()))
+
+    def test_subscribed_timeout_not_recycled(self):
+        env = Environment()
+        seen = []
+
+        def proc():
+            t1 = env.timeout(5.0)
+            t1.callbacks.append(seen.append)
+            yield t1
+            t2 = env.timeout(5.0)
+            assert t2 is not t1
+            yield t2
+
+        env.run(env.process(proc()))
+        assert len(seen) == 1
+
+    def test_directly_constructed_timeout_never_pooled(self):
+        env = Environment()
+
+        def proc():
+            t1 = Timeout(env, 5.0)
+            assert not t1._pooled
+            yield t1
+            assert t1 not in env._free_timeouts
+
+        env.run(env.process(proc()))
+
+
+class TestAbsoluteScheduling:
+    def test_timeout_at_fires_at_absolute_time(self):
+        env = Environment()
+
+        def proc():
+            yield env.timeout(3.0)
+            yield env.timeout_at(10.5)
+            assert env.now == 10.5
+
+        env.run(env.process(proc()))
+
+    def test_timeout_at_exact_float(self):
+        """timeout_at(when) wakes at exactly ``when`` — no now + delta
+        float round-trip (the property the analytic fast path needs)."""
+        env = Environment()
+        target = 0.1 + 0.2  # not exactly representable as 0.3
+
+        def proc():
+            yield env.timeout(1e-3)
+            yield env.timeout_at(target)
+            assert env.now == target
+
+        env.run(env.process(proc()))
+
+    def test_timeout_at_past_raises(self):
+        env = Environment()
+
+        def proc():
+            yield env.timeout(5.0)
+            env.timeout_at(1.0)
+
+        with pytest.raises(SimulationError):
+            env.run(env.process(proc()))
+
+
+class TestCounters:
+    def test_events_counters_track(self):
+        env = Environment()
+
+        def proc():
+            for _ in range(10):
+                yield env.timeout(1.0)
+
+        env.run(env.process(proc()))
+        # 10 timeouts + the Initialize event + the process-completion event.
+        assert env.events_scheduled == 12
+        assert env.events_processed == 12

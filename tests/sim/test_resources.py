@@ -148,6 +148,42 @@ class TestStore:
             Store(env, capacity=0)
 
 
+class TestStorePutNowait:
+    def test_put_nowait_roundtrip(self, env):
+        store = Store(env)
+
+        def proc():
+            assert store.put_nowait("a") is True
+            got = yield store.get()
+            return got
+
+        assert env.run(env.process(proc())) == "a"
+
+    def test_put_nowait_full_store(self, env):
+        store = Store(env, capacity=1)
+        assert store.put_nowait(1) is True
+        assert store.put_nowait(2) is False
+        assert list(store.items) == [1]
+
+    def test_put_nowait_hands_to_waiting_getter(self, env):
+        store = Store(env)
+
+        def consumer():
+            got = yield store.get()
+            return got
+
+        # consumer registers its getter, then the producer hands over
+        p = env.process(consumer())
+
+        def producer():
+            yield env.timeout(1.0)
+            assert store.put_nowait("x") is True
+
+        env.process(producer())
+        assert env.run(p) == "x"
+        assert len(store) == 0
+
+
 class TestFilterStore:
     def test_predicate_skips_nonmatching(self, env):
         fs = FilterStore(env)

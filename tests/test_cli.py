@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.stores import store_names
 
 
 def test_list(capsys):
@@ -140,3 +141,13 @@ def test_crashmatrix(capsys, tmp_path):
     assert payload["violations"] == []
     assert payload["non_idempotent"] == []
     assert payload["total_points"] >= 1
+
+
+@pytest.mark.parametrize("store", store_names())
+def test_loadgen_every_store(capsys, store):
+    rc = main(
+        ["loadgen", "--store", store, "--clients", "2", "--ops", "3"]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"2 clients on {store}" in out and "events/op" in out
