@@ -266,6 +266,10 @@ class BaseServer:
     #: Whether this scheme's index can be sharded (Erda's hopscotch
     #: table displaces entries across the whole array and cannot).
     supports_partitions = True
+    #: Whether this scheme's request handlers call ``try_admit``; stores
+    #: whose handlers bypass it reject ``admission_watermark > 0``
+    #: instead of silently admitting nothing.
+    supports_admission = True
 
     def __init__(
         self,
@@ -282,6 +286,10 @@ class BaseServer:
         if n_parts > 1 and not self.supports_partitions:
             raise ConfigError(
                 f"store {self.store_name!r} does not support num_partitions > 1"
+            )
+        if cfg.admission_watermark > 0 and not self.supports_admission:
+            raise ConfigError(
+                f"admission control is not implemented for {self.store_name}"
             )
 
         table_bytes = self._table_bytes()

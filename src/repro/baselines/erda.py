@@ -59,6 +59,8 @@ class ErdaServer(BaseServer):
     #: The hopscotch neighborhood spans bucket ranges, so the index has
     #: no clean segment boundary to shard on.
     supports_partitions = False
+    #: The hopscotch alloc handler never calls ``try_admit``.
+    supports_admission = False
 
     def _table_bytes(self) -> int:
         return self.config.table_buckets * ERDA_ENTRY_SIZE

@@ -39,6 +39,8 @@ def rpc_store_config(**overrides: Any) -> StoreConfig:
 
 class RpcStoreServer(BaseServer):
     store_name = "rpc"
+    #: The put/get handlers never call ``try_admit``.
+    supports_admission = False
 
     def _register_handlers(self) -> None:
         self.rpc.register("put", self._handle_put)

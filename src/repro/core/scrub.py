@@ -44,13 +44,14 @@ the default — the paper's system has no scrubber).
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Generator
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.baselines.base import ObjectLocation, Partition
 from repro.crc.crc32 import crc32_fast
 from repro.errors import MemoryAccessError, RDMAError, StoreError
-from repro.kv.hashtable import ENTRY_SIZE, key_fingerprint
+from repro.kv.hashtable import ENTRY_LAYOUT, ENTRY_SIZE, Slot, key_fingerprint
 from repro.kv.objects import (
     FLAG_DURABLE,
     FLAG_VALID,
@@ -71,6 +72,14 @@ __all__ = ["Scrubber", "ScrubberGroup"]
 #: Cycle/depth guard for rollback-chain walks over possibly-rotten
 #: pre_ptr links (mirrors recovery's cycle check).
 _MAX_CHAIN_HOPS = 64
+
+#: Table entries the seek reads from media per ``device.read`` while
+#: looking for the next live entry.
+_SEEK_CHUNK = 64
+#: 8-byte words per table entry, and the word indices of ``fp``/``cur``.
+_ENTRY_WORDS = ENTRY_SIZE // 8
+_FP_WORD = ENTRY_LAYOUT.offset_of("fp") // 8
+_CUR_WORD = ENTRY_LAYOUT.offset_of("cur") // 8
 
 _STAT_KEYS = (
     "scrubbed",
@@ -172,17 +181,27 @@ class Scrubber:
         total = geom.n_buckets * geom.slots_per_bucket
         cfg = self.server.config
         yield self.env.timeout(cfg.nvm_timing.read_cost(ENTRY_SIZE))
-        for _ in range(total):
-            entry_off = (self._cursor % total) * ENTRY_SIZE
-            self._cursor += 1
-            entry = table.read_entry(entry_off)
-            if entry.fp == 0:
-                continue
-            cur = table.read_cur(entry_off)
-            if cur is None:
-                continue
-            yield from self._scrub_entry(entry_off, entry.fp, cur)
-            return
+        # Seek over the media image a chunk of entries at a time (never
+        # past the segment end, so the cursor wraps exactly as a
+        # slot-by-slot walk would); at most ``total`` entries per step.
+        scanned = 0
+        while scanned < total:
+            first = self._cursor % total
+            n = min(_SEEK_CHUNK, total - first, total - scanned)
+            raw = table.device.read(table.base + first * ENTRY_SIZE, n * ENTRY_SIZE)
+            words = struct.unpack(f"<{n * _ENTRY_WORDS}Q", raw)
+            for k in range(n):
+                fp = words[k * _ENTRY_WORDS + _FP_WORD]
+                if fp == 0:
+                    continue
+                cur = Slot.unpack(words[k * _ENTRY_WORDS + _CUR_WORD])
+                if cur is None:
+                    continue  # torn insert: fp claimed, no valid slot
+                self._cursor += k + 1
+                yield from self._scrub_entry((first + k) * ENTRY_SIZE, fp, cur)
+                return
+            self._cursor += n
+            scanned += n
         # table empty: idle tick
 
     # -- one entry --------------------------------------------------------------

@@ -12,6 +12,9 @@ Layout (per partition, per pool, carved after the log pools when
   ``(size, crc32)`` of the *covered* object starting at that granule.
 * **root line** — in integrity-tree mode, a CRC over the sorted ledger
   (a one-level Merkle collapse), persisted with each verifier batch.
+  Each covered object's packed ``(offset, size, crc)`` root record is
+  cached, in offset order, beside its ledger entry, so the root is one
+  CRC call over the cached records rather than one call per entry.
 
 The DRAM copies are authoritative: parity pages and ledger entries are
 kept in memory and written through to NVM so that every update creates
@@ -42,6 +45,7 @@ locations are duck-typed — so it can sit below ``baselines`` and
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from collections.abc import Generator
 from typing import Any, Callable, Iterable, Optional
 
@@ -67,6 +71,15 @@ ROOT_LINE = 64
 _FLAGS_OFF = OBJECT_HEADER.offset_of("flags")
 _LEDGER = struct.Struct("<II")
 _ROOT = struct.Struct("<II")
+#: One root record per covered object: ``(offset, size, crc32)``.
+_ROOT_REC = struct.Struct("<QII")
+
+
+def _xor(a: bytes | bytearray, b: bytes | bytearray) -> bytes:
+    """Bytewise XOR of two equal-length buffers."""
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
+        len(a), "little"
+    )
 
 
 def integrity_region_bytes(pool_size: int, stripe_bytes: int, align: int) -> int:
@@ -88,6 +101,8 @@ class PoolIntegrity:
         "root_base",
         "parity",
         "entries",
+        "root_offs",
+        "root_blob",
         "dirty_stripes",
         "dirty_slots",
         "stale_stripes",
@@ -110,6 +125,10 @@ class PoolIntegrity:
         self.parity: dict[int, bytearray] = {}
         #: covered object offset -> (size, crc32 of the covered bytes).
         self.entries: dict[int, tuple[int, int]] = {}
+        #: Sorted covered offsets, and their packed ``_ROOT_REC`` records
+        #: concatenated in the same order (kept in step with ``entries``).
+        self.root_offs: list[int] = []
+        self.root_blob = bytearray()
         self.dirty_stripes: set[int] = set()
         self.dirty_slots: set[int] = set()
         #: Stripes whose parity can no longer be trusted until a rebuild
@@ -127,15 +146,16 @@ class PoolIntegrity:
 
     def _xor_range(self, offset: int, data: bytes) -> None:
         """XOR ``data`` (pool bytes at ``offset``) into the parity pages."""
+        # Page-bounded slices never straddle a stripe (stripes are whole
+        # pages), and each XORs as one big-int operation.
         i, n = 0, len(data)
         while i < n:
             o = offset + i
             stripe = o // self.stripe_bytes
-            take = min(n - i, self.stripe_bytes - o % self.stripe_bytes)
-            page = self._page(stripe)
             col = o % PARITY_PAGE
-            for j in range(take):
-                page[(col + j) % PARITY_PAGE] ^= data[i + j]
+            take = min(n - i, PARITY_PAGE - col)
+            page = self._page(stripe)
+            page[col : col + take] = _xor(page[col : col + take], data[i : i + take])
             self.dirty_stripes.add(stripe)
             i += take
 
@@ -166,14 +186,10 @@ class PoolIntegrity:
             # log-structured flow — offsets are only reused after a pool
             # reset): the affected stripes' parity is untrustworthy.
             self.stale_stripes.update(self._stripes_of(offset, max(size, old[0])))
-            self.entries[offset] = (size, crc)
-            self.dirty_slots.add(offset)
-            self.root_dirty = True
+            self._set_entry(offset, size, crc)
             return
-        self.entries[offset] = (size, crc)
+        self._set_entry(offset, size, crc)
         self._xor_range(offset, raw)
-        self.dirty_slots.add(offset)
-        self.root_dirty = True
 
     def mutate(self, obj_off: int, field_off: int, old: bytes) -> bool:
         """A covered object's bytes at ``obj_off + field_off`` changed in
@@ -187,13 +203,33 @@ class PoolIntegrity:
             return False
         new = bytes(self.pool.read(obj_off + field_off, len(old)))
         if new != old:
-            delta = bytes(a ^ b for a, b in zip(old, new))
-            self._xor_range(obj_off + field_off, delta)
-        raw = bytes(self.pool.read(obj_off, size))
-        self.entries[obj_off] = (size, crc32_fast(raw))
-        self.dirty_slots.add(obj_off)
-        self.root_dirty = True
+            self._xor_range(obj_off + field_off, _xor(old, new))
+        self._set_entry(obj_off, size, crc32_fast(self.pool.read(obj_off, size)))
         return True
+
+    def _set_entry(self, offset: int, size: int, crc: int) -> None:
+        """The one write path of the ledger (and its cached root record)."""
+        rec = _ROOT_REC.pack(offset, size, crc)
+        i = bisect_left(self.root_offs, offset)
+        at = i * _ROOT_REC.size
+        if offset in self.entries:
+            self.root_blob[at : at + _ROOT_REC.size] = rec
+        else:
+            self.root_offs.insert(i, offset)
+            self.root_blob[at:at] = rec
+        self.entries[offset] = (size, crc)
+        self.dirty_slots.add(offset)
+        self.root_dirty = True
+
+    def clear(self) -> None:
+        """Drop all parity, coverage and dirty state (DRAM only)."""
+        self.parity.clear()
+        self.entries.clear()
+        self.root_offs.clear()
+        self.root_blob.clear()
+        self.dirty_stripes.clear()
+        self.dirty_slots.clear()
+        self.stale_stripes.clear()
 
     # -- reconstruction -----------------------------------------------------
     def reconstruct_cost_bytes(self, offset: int, size: int) -> int:
@@ -264,12 +300,11 @@ class PoolIntegrity:
 
     # -- NVM write-through --------------------------------------------------
     def root_value(self) -> int:
-        """One-level Merkle collapse: CRC over the sorted ledger."""
-        acc = 0
-        for off in sorted(self.entries):
-            size, crc = self.entries[off]
-            acc = crc32_fast(struct.pack("<QII", off, size, crc), acc)
-        return acc
+        """One-level Merkle collapse: CRC over the sorted ledger.
+
+        Chaining the CRC record by record equals one CRC over the
+        concatenated records, so this is a single C call over the cache."""
+        return crc32_fast(self.root_blob)
 
     def root_line(self) -> bytes:
         return _ROOT.pack(self.root_value(), len(self.entries)).ljust(ROOT_LINE, b"\x00")
@@ -323,11 +358,7 @@ class PoolIntegrity:
     def reset(self) -> None:
         """The pool was reset (log cleaning / repl_reset): drop all
         coverage and zero the NVM regions."""
-        self.parity.clear()
-        self.entries.clear()
-        self.dirty_stripes.clear()
-        self.dirty_slots.clear()
-        self.stale_stripes.clear()
+        self.clear()
         self.root_dirty = True
         self.device.write(self.parity_base, bytes(self.n_stripes * PARITY_PAGE))
         self.device.write(
@@ -490,11 +521,7 @@ class PartitionIntegrity:
         total = 0
         ranges: list[tuple[int, int]] = []
         for pi in self.by_pool:
-            pi.parity.clear()
-            pi.entries.clear()
-            pi.dirty_stripes.clear()
-            pi.dirty_slots.clear()
-            pi.stale_stripes.clear()
+            pi.clear()
             for alloc in pi.pool.allocations:
                 raw = bytes(pi.pool.read(alloc.offset, alloc.size))
                 total += alloc.size

@@ -4,12 +4,20 @@ keeping the newest acked version — instead of rolling back or clearing.
 The integrity-tree mode adds end-to-end detection on the cache-warm
 1-READ GET path."""
 
-import pytest
+import struct
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.baselines.base import StoreConfig
+from repro.crc.crc32 import crc32_fast
 from repro.errors import ConfigError
-from repro.integrity import PARITY_PAGE, PoolIntegrity
+from repro.integrity import PARITY_PAGE, PartitionIntegrity, PoolIntegrity
 from repro.kv.hashtable import key_fingerprint
-from repro.kv.objects import HEADER_SIZE
+from repro.kv.logpool import LogPool
+from repro.kv.objects import FLAG_DURABLE, FLAG_VALID, HEADER_SIZE, build_header
+from repro.nvm.device import NVMDevice
+from repro.sim.kernel import Environment
 from tests.conftest import run1, small_store
 
 #: Scrubber + the integrity tier at the shipped defaults.
@@ -132,6 +140,113 @@ class TestParityMath:
     def test_page_column_mapping(self):
         # byte at pool offset o lands in parity column o % PARITY_PAGE
         assert PARITY_PAGE == 256
+
+
+def _chained_root(entries):
+    """Reference root: the CRC chained one ledger record at a time."""
+    acc = 0
+    for off in sorted(entries):
+        acc = crc32_fast(struct.pack("<QII", off, *entries[off]), acc)
+    return acc
+
+
+def _ref_xor(parity, stripe_bytes, offset, data):
+    """Reference parity update: one byte at a time into its column."""
+    for j, byte in enumerate(data):
+        o = offset + j
+        page = parity.setdefault(o // stripe_bytes, bytearray(PARITY_PAGE))
+        page[o % PARITY_PAGE] ^= byte
+
+
+#: Object slots of the property test: 16 offsets, 512 bytes apart, so
+#: objects straddle parity pages and share 4K stripes.
+_SLOT = 512
+
+#: Object images of any length up to a slot, so most cross a page.
+_IMAGES = st.tuples(
+    st.binary(min_size=1, max_size=32), st.integers(1, _SLOT)
+).map(lambda t: (t[0] * _SLOT)[: t[1]])
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("cover"), st.integers(0, 15), _IMAGES),
+        st.tuples(
+            st.just("mutate"),
+            st.integers(0, 15),
+            st.integers(0, _SLOT - 1),
+            st.binary(min_size=1, max_size=64),
+        ),
+        st.tuples(st.just("reset")),
+    ),
+    max_size=40,
+)
+
+
+class TestRootAndParityBitIdentity:
+    """The cached root records and the big-int parity XOR must give the
+    exact bytes of the per-record / per-byte reference computations."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_OPS)
+    def test_root_and_parity_match_reference(self, ops):
+        device = NVMDevice(Environment(), 64 << 10)
+        pool = LogPool(device, base=0, size=32 << 10)
+        pi = PoolIntegrity(device, pool, 4096, 32 << 10)
+        parity: dict[int, bytearray] = {}
+        for op in ops:
+            if op[0] == "cover":  # first cover, or re-cover of new bytes
+                off, raw = op[1] * _SLOT, op[2]
+                pool.write(off, raw)
+                if off not in pi.entries:
+                    _ref_xor(parity, 4096, off, raw)
+                pi.cover(off, raw)
+            elif op[0] == "mutate":
+                off = op[1] * _SLOT
+                entry = pi.entries.get(off)
+                if entry is None:
+                    continue
+                field = min(op[2], entry[0] - 1)
+                new = op[3][: entry[0] - field]
+                old = bytes(pool.read(off + field, len(new)))
+                pool.write(off + field, new)
+                _ref_xor(parity, 4096, off + field, bytes(a ^ b for a, b in zip(old, new)))
+                assert pi.mutate(off, field, old)
+            else:
+                pi.reset()
+                parity.clear()
+            assert pi.root_value() == _chained_root(pi.entries)
+        assert {s: bytes(p) for s, p in pi.parity.items() if any(p)} == {
+            s: bytes(p) for s, p in parity.items() if any(p)
+        }
+
+    def test_rebuild_root_equals_incremental_root(self, env):
+        cfg = StoreConfig(parity_stripe_kb=4, integrity_tree=True)
+        device = NVMDevice(env, 64 << 10)
+        pool = LogPool(device, base=0, size=32 << 10)
+        integ = PartitionIntegrity(device, env, cfg, [pool], 32 << 10, tree=True)
+        pi = integ.by_pool[0]
+        images = []
+        for i in range(40):
+            key, value = _key(i), bytes([i]) * (17 * i % 300 + 1)
+            raw = build_header(
+                flags=FLAG_VALID | FLAG_DURABLE,
+                klen=len(key),
+                vlen=len(value),
+                crc=crc32_fast(value),
+            ) + key + value
+            off = pool.allocate(len(raw))
+            pool.write(off, raw)
+            images.append((off, raw))
+        # Cover newest-first, so the record cache is built out of the
+        # offset order rebuild() walks in.
+        for off, raw in reversed(images):
+            pi.cover(off, raw)
+        incremental = pi.root_value()
+        parity = {s: bytes(p) for s, p in pi.parity.items()}
+        assert incremental == _chained_root(pi.entries) and len(pi.entries) == 40
+        run1(env, integ.rebuild())
+        assert pi.root_value() == incremental
+        assert {s: bytes(p) for s, p in pi.parity.items()} == parity
 
 
 class TestReconstructingRepair:

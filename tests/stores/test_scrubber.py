@@ -5,7 +5,7 @@ the hole eFactory's durability-flag shortcut leaves open."""
 import pytest
 
 from repro.errors import StoreError
-from repro.kv.hashtable import key_fingerprint
+from repro.kv.hashtable import ENTRY_LAYOUT, ENTRY_SIZE, Slot, key_fingerprint
 from repro.kv.objects import HEADER_SIZE
 from tests.conftest import run1, small_store
 
@@ -116,3 +116,89 @@ class TestWiring:
         _wait_for_scrub(env, setup, "scrubbed")
         assert setup.server.scrubber.active
         assert len(setup.server.scrubber.scrubbers) == 4
+
+
+def _ref_seek(table, cursor):
+    """Reference seek: the slot-by-slot walk, one ``read_entry`` each.
+    Returns the live entry it stops at (or None) and the new cursor."""
+    total = table.geom.n_buckets * table.geom.slots_per_bucket
+    for _ in range(total):
+        entry_off = (cursor % total) * ENTRY_SIZE
+        cursor += 1
+        entry = table.read_entry(entry_off)
+        if entry.fp != 0 and Slot.unpack(entry.cur) is not None:
+            return entry_off, cursor
+    return None, cursor
+
+
+class TestChunkedSeek:
+    """The scrubber's chunked media seek visits exactly the entries, in
+    exactly the order, with exactly the cursor of the reference walk."""
+
+    def _setup(self, env, part_id=1):
+        # Two partitions: partition 1's segment starts past partition
+        # 0's, so table-relative and device addresses differ.
+        setup = small_store("efactory", env, num_partitions=2)
+        part = setup.server.partitions[part_id]
+        scrubber = part.scrubber
+        visited = []
+
+        def record(entry_off, fp, cur):
+            visited.append(entry_off)
+            yield env.timeout(0)
+
+        scrubber._scrub_entry = record
+        return part.table, scrubber, visited
+
+    @staticmethod
+    def _put(table, idx, *, torn=False):
+        off = idx * ENTRY_SIZE
+        table.device.write_atomic64(
+            table.base + off, ENTRY_LAYOUT.pack_field("fp", 0x5EED + idx)
+        )
+        if not torn:
+            table.set_cur(off, Slot(pool=0, size=64, offset=idx * 64))
+
+    def _steps_match_reference(self, env, table, scrubber, visited, steps):
+        for _ in range(steps):
+            want_off, want_cursor = _ref_seek(table, scrubber._cursor)
+            before = len(visited)
+            run1(env, scrubber._scrub_next())
+            got = visited[before] if len(visited) > before else None
+            assert (got, scrubber._cursor) == (want_off, want_cursor)
+
+    @pytest.mark.parametrize("last_live", [True, False])
+    def test_chunk_boundaries_and_wraparound(self, env, last_live):
+        table, scrubber, visited = self._setup(env)
+        total = table.geom.n_buckets * table.geom.slots_per_bucket
+        assert total > 3 * 64
+        live = [0, 63, 64, 65, 127, 128, 191, total - 70]
+        if last_live:
+            live.append(total - 1)
+        for idx in live:
+            self._put(table, idx)
+        # Start just short of the segment end so the first step wraps
+        # (with or without a live entry before the end).
+        scrubber._cursor = total - 3
+        self._steps_match_reference(env, table, scrubber, visited, 2 * len(live) + 1)
+        head = [(total - 1) * ENTRY_SIZE] if last_live else []
+        assert visited[: len(head) + 3] == head + [0, 63 * ENTRY_SIZE, 64 * ENTRY_SIZE]
+        assert scrubber.laps == 3
+
+    def test_torn_insert_is_skipped(self, env):
+        table, scrubber, visited = self._setup(env)
+        for idx in (5, 64, 70):
+            self._put(table, idx, torn=True)  # fp claimed, cur never set
+        self._put(table, 66)
+        self._steps_match_reference(env, table, scrubber, visited, 3)
+        assert visited == [66 * ENTRY_SIZE] * 3
+
+    def test_empty_table_is_an_idle_tick(self, env):
+        table, scrubber, visited = self._setup(env)
+        total = table.geom.n_buckets * table.geom.slots_per_bucket
+        scrubber._cursor = 100
+        self._steps_match_reference(env, table, scrubber, visited, 2)
+        assert visited == [] and scrubber.scrubbed == 0
+        # Each idle step scans the segment once, as the reference walk
+        # does: the cursor ends where it began, one lap on.
+        assert scrubber._cursor == 100 + 2 * total

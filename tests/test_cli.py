@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigError
 from repro.stores import store_names
 
 
@@ -151,3 +152,14 @@ def test_loadgen_every_store(capsys, store):
     assert rc == 0
     out = capsys.readouterr().out
     assert f"2 clients on {store}" in out and "events/op" in out
+
+
+@pytest.mark.parametrize("store", ["erda", "rpc"])
+def test_loadgen_admission_rejected_where_handlers_bypass_it(store):
+    # Their GET/PUT handlers never call try_admit, so a watermark would
+    # silently admit nothing; the store refuses it instead.
+    with pytest.raises(
+        ConfigError, match=f"admission control is not implemented for {store}"
+    ):
+        main(["loadgen", "--store", store, "--admission", "4",
+              "--clients", "2", "--ops", "3"])
