@@ -56,8 +56,11 @@ def crc32(data: bytes | bytearray | memoryview, crc: int = 0) -> int:
 
 
 def crc32_fast(data: bytes | bytearray | memoryview, crc: int = 0) -> int:
-    """CRC-32 via :mod:`zlib` — identical results, C speed."""
-    return zlib.crc32(bytes(data), crc & _MASK) & _MASK
+    """CRC-32 via :mod:`zlib` — identical results, C speed.
+
+    The buffer is passed straight through, so no input is copied.
+    """
+    return zlib.crc32(data, crc & _MASK) & _MASK
 
 
 # -- crc combination (zlib-style GF(2) matrix trick) -------------------------

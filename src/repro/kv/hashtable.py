@@ -123,10 +123,29 @@ class HashTableGeometry:
         return self.bucket_offset(bucket) + slot_idx * ENTRY_SIZE
 
 
+#: Entries the fingerprint memo holds before it is cleared (bounds RSS).
+FP_MEMO_MAX = 1 << 16
+
+#: ``bytes`` key -> fingerprint. Every op fingerprints its key several
+#: times (client route, server lookup, verifier, scrubber), and FNV-1a
+#: is a byte-at-a-time Python loop.
+_fp_memo: dict[bytes, int] = {}
+
+
 def key_fingerprint(key: bytes) -> int:
-    """Fingerprint shared by server and clients; never 0 (0 = empty)."""
-    fp = fnv1a_64(key)
-    return fp or 1
+    """Fingerprint shared by server and clients; never 0 (0 = empty).
+
+    Fingerprints of ``bytes`` keys are memoised; mutable or view keys
+    (``bytearray``, ``memoryview``) are hashed afresh every time.
+    """
+    if type(key) is not bytes:
+        return fnv1a_64(key) or 1
+    fp = _fp_memo.get(key)
+    if fp is None:
+        if len(_fp_memo) >= FP_MEMO_MAX:
+            _fp_memo.clear()
+        fp = _fp_memo[key] = fnv1a_64(key) or 1
+    return fp
 
 
 def partition_of_fp(fp: int, n_partitions: int) -> int:

@@ -137,7 +137,9 @@ class Fabric:
         # exactly like repeated single draws, so the jitter sequence is
         # identical to the seed implementation — including under mid-run
         # jitter_ns changes (scale applies per call, not per draw).
-        self._jitter_buf: np.ndarray = np.empty(0)
+        # Each block is converted with ``tolist`` so a draw is a list
+        # index returning a Python float, not a NumPy scalar.
+        self._jitter_buf: list[float] = []
         self._jitter_idx = 0
         #: Armed fault injector (:mod:`repro.faults`), or None. Verb
         #: hooks check this one attribute, so an unarmed fabric costs
@@ -159,10 +161,10 @@ class Fabric:
         i = self._jitter_idx
         buf = self._jitter_buf
         if i >= len(buf):
-            buf = self._jitter_buf = self._jitter_rng.standard_exponential(1024)
+            buf = self._jitter_buf = self._jitter_rng.standard_exponential(1024).tolist()
             i = 0
         self._jitter_idx = i + 1
-        return float(buf[i]) * self.jitter_ns
+        return buf[i] * self.jitter_ns
 
     def fastpath_ok(self) -> bool:
         """True when verbs may attempt the analytic fast path at all

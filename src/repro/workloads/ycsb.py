@@ -30,6 +30,7 @@ the simulation's hot loop does no distribution sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -51,6 +52,22 @@ __all__ = [
 ]
 
 OpKind = Literal["get", "put", "rmw"]
+
+
+@lru_cache(maxsize=32)
+def _sampler_for(distribution: str, key_count: int, theta: float):
+    """One key sampler per key space, shared by every client.
+
+    The zipfian, latest and uniform samplers hold only constants (the
+    zeta sums and the scramble map) and draw from the rng they are
+    handed, so sharing one changes no stream; building the zipfian one
+    costs a zeta sum over every key.
+    """
+    if distribution == "zipfian":
+        return ScrambledZipfian(key_count, theta)
+    if distribution == "latest":
+        return SkewedLatest(key_count, theta)
+    return UniformGenerator(key_count)
 
 
 @dataclass(frozen=True)
@@ -102,11 +119,7 @@ class WorkloadSpec:
         return replace(self, **kw)
 
     def _sampler(self):
-        if self.distribution == "zipfian":
-            return ScrambledZipfian(self.key_count, self.zipf_theta)
-        if self.distribution == "latest":
-            return SkewedLatest(self.key_count, self.zipf_theta)
-        return UniformGenerator(self.key_count)
+        return _sampler_for(self.distribution, self.key_count, self.zipf_theta)
 
     def client_stream(
         self, rng: np.random.Generator, n_ops: int

@@ -30,6 +30,15 @@ class TestReferenceImplementation:
     def test_fast_matches_reference(self, data):
         assert crc32_fast(data) == crc32(data)
 
+    @given(st.binary(max_size=512), st.integers(0, 2**32 - 1))
+    def test_fast_accepts_every_buffer_type(self, data, seed):
+        """bytes, bytearray and memoryview (also a slice of a larger
+        buffer) give the same CRC, chained or not."""
+        expected = crc32(data, seed)
+        padded = memoryview(b"<" + data + b">")[1:-1]
+        for buf in (data, bytearray(data), memoryview(data), padded):
+            assert crc32_fast(buf, seed) == expected
+
     @given(st.binary(max_size=256), st.binary(max_size=256))
     def test_chaining_property(self, a, b):
         assert crc32(a + b) == crc32(b, crc32(a))

@@ -8,6 +8,7 @@ from repro.errors import WorkloadError
 from repro.workloads.keyspace import make_key, make_value, parse_value
 from repro.workloads.ycsb import (
     WORKLOADS,
+    _sampler_for,
     update_only,
     ycsb_a,
     ycsb_b,
@@ -324,6 +325,32 @@ class TestYcsbSpecs:
             np.random.default_rng(23), 500
         )
         assert a == b
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ycsb_a(key_count=300),
+            ycsb_d(key_count=300),
+            ycsb_e(key_count=300, max_scan_len=4),
+            ycsb_b(key_count=300, distribution="uniform"),
+            ycsb_c(key_count=300, zipf_theta=0.5),
+        ],
+        ids=lambda s: f"{s.name}-{s.distribution}-{s.zipf_theta}",
+    )
+    def test_shared_sampler_gives_every_client_its_stream(self, spec):
+        """One sampler per key space serves every client: each client's
+        stream equals the one drawn through a freshly built sampler."""
+        shared = [
+            spec.client_stream(np.random.default_rng(100 + c), 400)
+            for c in range(6)
+        ]
+        fresh = []
+        for c in range(6):
+            _sampler_for.cache_clear()
+            fresh.append(spec.client_stream(np.random.default_rng(100 + c), 400))
+        assert shared == fresh
+        assert spec._sampler() is spec.with_(name="other")._sampler()
+        assert spec._sampler() is not spec.with_(key_count=301)._sampler()
 
     def test_validation(self):
         with pytest.raises(WorkloadError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import StoreError
+from repro.kv import hashtable
 from repro.kv.hashtable import (
     ENTRY_SIZE,
     HashTableGeometry,
@@ -13,6 +14,7 @@ from repro.kv.hashtable import (
     key_fingerprint,
 )
 from repro.nvm.device import NVMDevice
+from repro.sim.rng import fnv1a_64
 from repro.sim.kernel import Environment
 
 
@@ -72,6 +74,49 @@ class TestFingerprint:
 
     def test_deterministic(self):
         assert key_fingerprint(b"k") == key_fingerprint(b"k")
+
+
+@pytest.fixture
+def fp_memo():
+    """The fingerprint memo, emptied for the test and restored after."""
+    saved = dict(hashtable._fp_memo)
+    hashtable._fp_memo.clear()
+    yield hashtable._fp_memo
+    hashtable._fp_memo.clear()
+    hashtable._fp_memo.update(saved)
+
+
+class TestFingerprintMemo:
+    @given(st.binary(max_size=64))
+    def test_equals_fnv_for_every_buffer_type(self, key):
+        expected = fnv1a_64(key) or 1
+        for k in (key, bytearray(key), memoryview(key), key):
+            assert key_fingerprint(k) == expected
+
+    def test_correct_before_and_after_the_memo_clears(self, fp_memo, monkeypatch):
+        monkeypatch.setattr(hashtable, "FP_MEMO_MAX", 4)
+        keys = [b"key-%d" % i for i in range(11)]
+        sizes = []
+        for _ in range(2):  # second pass: every key recomputed or hit
+            for k in keys:
+                assert key_fingerprint(k) == (fnv1a_64(k) or 1)
+                assert key_fingerprint(k) == (fnv1a_64(k) or 1)
+                sizes.append(len(fp_memo))
+        assert max(sizes) == 4  # filled to the cap ...
+        assert 1 in sizes  # ... and cleared when full
+        for k in fp_memo:
+            assert fp_memo[k] == (fnv1a_64(k) or 1)
+
+    def test_non_bytes_keys_never_enter_the_memo(self, fp_memo):
+        key = b"mutable-key"
+        ba = bytearray(key)
+        assert key_fingerprint(ba) == key_fingerprint(memoryview(key))
+        assert fp_memo == {}
+        ba[0] ^= 0xFF  # a mutated key must not be answered from a memo
+        assert key_fingerprint(ba) == (fnv1a_64(bytes(ba)) or 1)
+        assert fp_memo == {}
+        key_fingerprint(key)
+        assert list(fp_memo) == [key]
 
 
 class TestTableOps:
