@@ -115,7 +115,6 @@ class StoreConfig:
     table_buckets: int = 8192
     slots_per_bucket: int = 4
     probe_limit: int = 4
-    hopscotch_neighborhood: int = 8  # Erda only
 
     # partitioning (1 = the paper's single-threaded server, bit-for-bit)
     num_partitions: int = 1
@@ -145,10 +144,6 @@ class StoreConfig:
     verify_timeout_ns: float = 50_000.0
     bg_idle_poll_ns: float = 2_000.0
     bg_retry_delay_ns: float = 3_000.0
-    #: Objects the background verifier drains per wakeup. 1 keeps the
-    #: seed's one-object-per-wakeup poll loop bit-for-bit; > 1 switches
-    #: the verifier to event-driven wakeups with coalesced flushes.
-    bg_batch: int = 1
 
     # batched PUT pipeline (put_many)
     #: Alloc requests coalesced into one ``alloc_batch`` SEND and value
@@ -175,7 +170,7 @@ class StoreConfig:
     #: XOR-parity stripe size in KiB over each log pool; 0 disables the
     #: parity/ledger tier entirely (bit-identical legacy layout).
     parity_stripe_kb: int = 0
-    #: Maintain a Merkle-over-ledger root with each verifier batch and
+    #: Maintain a Merkle-over-ledger root with each verifier settle and
     #: verify cache-warm one-READ GETs against the checksum ledger.
     integrity_tree: bool = False
 
@@ -199,8 +194,6 @@ class StoreConfig:
             raise ConfigError("scrub_interval_ns must be >= 0")
         if self.admission_watermark < 0:
             raise ConfigError("admission_watermark must be >= 0")
-        if self.bg_batch < 1:
-            raise ConfigError("bg_batch must be >= 1")
         if self.parity_stripe_kb < 0:
             raise ConfigError("parity_stripe_kb must be >= 0")
         if self.integrity_tree and self.parity_stripe_kb == 0:

@@ -44,6 +44,9 @@ from repro.sim.kernel import Event
 
 __all__ = ["ErdaServer", "ErdaClient", "erda_config"]
 
+#: Hopscotch neighborhood: buckets an entry may sit from its home bucket.
+HOPSCOTCH_NEIGHBORHOOD = 8
+
 
 def erda_config(**overrides: Any) -> StoreConfig:
     """Erda defaults: no flushing anywhere; hopscotch insert pays more
@@ -70,7 +73,7 @@ class ErdaServer(BaseServer):
             self.device,
             0,
             self.config.table_buckets,
-            H=self.config.hopscotch_neighborhood,
+            H=HOPSCOTCH_NEIGHBORHOOD,
         )
 
     def _register_handlers(self) -> None:

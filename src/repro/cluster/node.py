@@ -556,10 +556,6 @@ def build_cluster(
         while n_parts < nodes:
             n_parts *= 2
         overrides["num_partitions"] = n_parts
-    # Event-driven verifier wakeups: N nodes of idle 2µs polling would
-    # dominate the event count. Cluster runs are new — no bit-compat
-    # constraint — so default to the batched mode.
-    overrides.setdefault("bg_batch", 8)
     cluster_cfg = ClusterConfig(
         n_nodes=nodes,
         replication_factor=replication,

@@ -35,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["BackgroundVerifier", "VerifierGroup"]
 
+#: The counters ``stats()`` reports, per verifier and summed per group.
+STAT_KEYS = ("verified", "persisted", "invalidated", "skipped", "requeued", "backlog")
+
 
 class BackgroundVerifier:
     """One partition's background verify-and-persist thread."""
@@ -50,25 +53,16 @@ class BackgroundVerifier:
         #: Objects whose WRITE had not landed yet: (due_time, loc).
         self.retry: deque[tuple[float, ObjectLocation]] = deque()
         self._proc: Process | None = None
-        #: Armed while the batched loop sleeps; ``enqueue`` fires it so
-        #: the thread wakes on arrival instead of on the next poll tick.
-        self._wakeup: Event | None = None
         # statistics
         self.verified = 0
         self.persisted = 0
         self.invalidated = 0
         self.skipped = 0
         self.requeued = 0
-        self.batches = 0
-        self.coalesced_flushes = 0
-        self.wakeups = 0
 
     # -- feeding ------------------------------------------------------------
     def enqueue(self, loc: ObjectLocation) -> None:
         self.queue.append(loc)
-        ev = self._wakeup
-        if ev is not None and not ev.triggered:
-            ev.succeed()
 
     @property
     def backlog(self) -> int:
@@ -95,12 +89,6 @@ class BackgroundVerifier:
     # -- the thread ------------------------------------------------------------
     def _loop(self) -> Generator[Event, Any, None]:
         cfg = self.server.config
-        if cfg.bg_batch > 1:
-            yield from self._loop_batched(cfg)
-            return
-        # Legacy single-object poll loop (bg_batch == 1): kept verbatim
-        # so the default configuration's event sequence is bit-for-bit
-        # the seed's.
         try:
             while True:
                 inj = self.server.fabric.injector
@@ -115,132 +103,6 @@ class BackgroundVerifier:
                 yield from self._process_one(loc)
         except Interrupt:
             return
-
-    def _loop_batched(self, cfg) -> Generator[Event, Any, None]:
-        """Amortized thread (``bg_batch > 1``): event-driven wakeup,
-        then drain up to ``bg_batch`` due objects per pass — back-to-back
-        CRCs and one coalesced flush per run of adjacent objects."""
-        try:
-            while True:
-                inj = self.server.fabric.injector
-                if inj is not None:
-                    act = inj.fire("bg.verifier", partition=self.part.part_id)
-                    if act is not None and act.kind == "pause":
-                        yield self.env.timeout(act.delay_ns)
-                batch: list[ObjectLocation] = []
-                while len(batch) < cfg.bg_batch:
-                    loc = self._next_due()
-                    if loc is None:
-                        break
-                    batch.append(loc)
-                if not batch:
-                    yield from self._idle_wait(cfg)
-                    # Linger one poll period before draining: lets the
-                    # in-flight doorbell WRITEs land (the alloc is
-                    # enqueued before the value arrives), lets a
-                    # pipelined burst accumulate into one batch, and
-                    # gathers near-simultaneous retries into one pass
-                    # with adjacent flush runs.
-                    yield self.env.timeout(cfg.bg_idle_poll_ns)
-                    continue
-                self.batches += 1
-                yield from self._process_batch(batch)
-        except Interrupt:
-            return
-
-    def _idle_wait(self, cfg) -> Generator[Event, Any, None]:
-        """Sleep until new work arrives (``enqueue`` fires the armed
-        event) or the earliest retry comes due — no fixed-period poll."""
-        ev = self.env.event()
-        self._wakeup = ev
-        try:
-            if self.retry:
-                delay = max(0.0, self.retry[0][0] - self.env.now)
-                yield self.env.any_of([ev, self.env.timeout(delay)])
-            else:
-                yield ev
-            if ev.triggered:
-                self.wakeups += 1
-        finally:
-            self._wakeup = None
-
-    def _process_batch(
-        self, batch: "list[ObjectLocation]"
-    ) -> Generator[Event, Any, None]:
-        """Verify a drained batch, then persist with coalesced flushes.
-
-        CRC passes run back-to-back (the peek and checksum costs are
-        still charged per object — batching removes the *poll* gaps and
-        the per-object flush fences, not the work). All objects that
-        verified are then flushed in runs: adjacent log allocations are
-        contiguous, so one fence covers the whole run."""
-        part = self.part
-        cfg = self.server.config
-        ok: list[tuple[ObjectLocation, Any]] = []
-        raws: dict[ObjectLocation, bytes] = {}
-        for loc in batch:
-            yield self.env.timeout(cfg.peek_ns)
-            img = part.read_object(loc)
-            if not img.well_formed:
-                yield from self._retry_or_invalidate(loc, None)
-                continue
-            if img.durable or not img.valid:
-                self.skipped += 1
-                continue
-            yield self.env.timeout(cfg.crc_cost.cost_ns(img.vlen))
-            self.verified += 1
-            if part.object_value_ok(img):
-                if part.integrity is not None:
-                    # Snapshot the verified pre-persist bytes: if the
-                    # settling persist itself corrupts the media, these
-                    # are what parity must cover so the scrubber can
-                    # reconstruct the good image.
-                    raws[loc] = bytes(
-                        part.pools[loc.pool].read(loc.offset, loc.size)
-                    )
-                ok.append((loc, img))
-            else:
-                yield from self._retry_or_invalidate(loc, img)
-        if not ok:
-            return
-        # Coalesced flush: merge adjacent (pool, offset..offset+size)
-        # ranges into single persist calls.
-        by_pool: dict[int, list[tuple[ObjectLocation, Any]]] = {}
-        for loc, img in ok:
-            by_pool.setdefault(loc.pool, []).append((loc, img))
-        for pool_id, members in by_pool.items():
-            pool = part.pools[pool_id]
-            mask = pool.align - 1
-
-            def alloc_end(loc: ObjectLocation) -> int:
-                # The bump allocator rounds every object to the pool's
-                # alignment; the next adjacent object starts there.
-                return loc.offset + ((loc.size + mask) & ~mask)
-
-            members.sort(key=lambda m: m[0].offset)
-            runs: list[list[tuple[ObjectLocation, Any]]] = [[members[0]]]
-            for m in members[1:]:
-                if m[0].offset == alloc_end(runs[-1][-1][0]):
-                    runs[-1].append(m)
-                else:
-                    runs.append([m])
-            for run in runs:
-                start = run[0][0].offset
-                length = run[-1][0].offset + run[-1][0].size - start
-                yield from self.server.device.persist(
-                    pool.abs_addr(start), length
-                )
-                if len(run) > 1:
-                    self.coalesced_flushes += 1
-                for loc, img in run:
-                    part.mark_durable(loc, img)
-                    self.persisted += 1
-        if part.integrity is not None:
-            # Fold the freshly settled objects into parity + ledger and
-            # flush the integrity metadata with this same batch.
-            yield from part.integrity.settle_batch(
-                [(loc, raws.get(loc)) for loc, _img in ok]
-            )
 
     def _next_due(self) -> ObjectLocation | None:
         if self.queue:
@@ -278,7 +140,7 @@ class BackgroundVerifier:
             part.mark_durable(loc, img)
             self.persisted += 1
             if part.integrity is not None:
-                yield from part.integrity.settle_batch([(loc, raw)])
+                yield from part.integrity.settle(loc, raw)
             return
         yield from self._retry_or_invalidate(loc, img)
 
@@ -303,17 +165,7 @@ class BackgroundVerifier:
         yield self.env.timeout(0)
 
     def stats(self) -> dict[str, int]:
-        return {
-            "verified": self.verified,
-            "persisted": self.persisted,
-            "invalidated": self.invalidated,
-            "skipped": self.skipped,
-            "requeued": self.requeued,
-            "backlog": self.backlog,
-            "batches": self.batches,
-            "coalesced_flushes": self.coalesced_flushes,
-            "wakeups": self.wakeups,
-        }
+        return {key: getattr(self, key) for key in STAT_KEYS}
 
 
 class VerifierGroup:
@@ -335,17 +187,7 @@ class VerifierGroup:
             v.stop()
 
     def stats(self) -> dict[str, int]:
-        out = {
-            "verified": 0,
-            "persisted": 0,
-            "invalidated": 0,
-            "skipped": 0,
-            "requeued": 0,
-            "backlog": 0,
-            "batches": 0,
-            "coalesced_flushes": 0,
-            "wakeups": 0,
-        }
+        out = dict.fromkeys(STAT_KEYS, 0)
         for v in self.verifiers:
             for key, value in v.stats().items():
                 out[key] += value

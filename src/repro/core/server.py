@@ -96,7 +96,7 @@ class EFactoryServer(BaseServer):
     def metrics(self) -> dict[str, dict[str, int]]:
         """Aggregated background-machinery counters (one dict per
         subsystem, partition-summed)."""
-        cs = self.cleaner.stats() if callable(self.cleaner.stats) else self.cleaner.stats
+        cs = self.cleaner.stats
         fastpath = self.fabric.fastpath_ops
         total_ops = fastpath + self.fabric.fallback_ops
         processed = self.env.events_processed
@@ -223,9 +223,9 @@ class EFactoryServer(BaseServer):
             yield from part.persist_object(loc)
             part.mark_durable(loc, img)
             if part.integrity is not None:
-                # Request-path settle: cover + flush inline, same as a
-                # one-object verifier batch.
-                yield from part.integrity.settle_batch([(loc, raw)])
+                # Request-path settle: cover + flush inline, same as the
+                # verifier does for each object it persists.
+                yield from part.integrity.settle(loc, raw)
             return loc
         return None
 

@@ -24,6 +24,7 @@ from collections.abc import Generator
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.harness.chaos import settle
 from repro.harness.metrics import LatencyRecorder
 from repro.sim.kernel import Environment, Event
 from repro.stores import StoreSetup, build_store
@@ -49,7 +50,6 @@ class BenchSpec:
     key_len: int = 16
     put_batch: int = 16
     put_window: int = 2
-    bg_batch: int = 16
     config_overrides: dict = field(default_factory=dict)
 
 
@@ -65,8 +65,6 @@ def _deploy(spec: BenchSpec) -> tuple[Environment, StoreSetup]:
         "put_batch": spec.put_batch,
         "put_window": spec.put_window,
     }
-    if spec.bench == "put_many":
-        overrides["bg_batch"] = spec.bg_batch
     if spec.bench == "get_cached":
         overrides["loc_cache_size"] = spec.ops
     overrides.update(spec.config_overrides)
@@ -74,16 +72,6 @@ def _deploy(spec: BenchSpec) -> tuple[Environment, StoreSetup]:
         "efactory", env, config_overrides=overrides, n_clients=1
     ).start()
     return env, setup
-
-
-def _settle(env: Environment, setup: StoreSetup, budget_ns: float = 50_000_000.0) -> None:
-    """Let the background verifier drain so GETs hit durable objects."""
-    deadline = env.now + budget_ns
-    background = getattr(setup.server, "background", None)
-    while env.now < deadline:
-        env.run(until=min(deadline, env.now + 50_000.0))
-        if background is None or background.backlog == 0:
-            break
 
 
 def bench_cell(spec: BenchSpec) -> dict[str, Any]:
@@ -131,7 +119,8 @@ def bench_cell(spec: BenchSpec) -> dict[str, Any]:
                 yield from client.put(key, value)
 
         env.run(env.process(preload(), name="preload"))
-        _settle(env, setup)
+        # Drain the verifier so the GETs hit durable objects.
+        settle(env, setup, 50_000_000.0)
         if spec.bench == "get_cached":
             # Warm pass: populates the location cache (PUT already
             # noted the locations, but a read pass also exercises the

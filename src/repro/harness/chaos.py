@@ -40,7 +40,7 @@ from repro.sim.trace import Tracer
 from repro.stores import STORES, build_store
 from repro.workloads.keyspace import make_key, make_value, parse_value
 
-__all__ = ["ChaosSpec", "ChaosReport", "run_chaos_experiment"]
+__all__ = ["ChaosSpec", "ChaosReport", "run_chaos_experiment", "settle"]
 
 #: Fault kinds that corrupt the media itself (latent errors), as
 #: opposed to transient transport/CPU faults. They change the audit
@@ -227,7 +227,7 @@ def run_chaos_experiment(
             yield from client.put(keys[kid], make_value(kid, 0, spec.value_len))
 
     env.run(env.process(preload(), name="chaos-preload"))
-    _settle(env, setup, spec.settle_ns)
+    settle(env, setup, spec.settle_ns)
 
     # -- the faulted window --------------------------------------------------
     injector = arm_store(setup, plan, rngs=rngs, tracer=tracer)
@@ -293,7 +293,7 @@ def run_chaos_experiment(
         )
     # Under a media plan, also wait for two full scrubber laps so every
     # entry has provably been examined *after* the last rot landed.
-    _settle(env, setup, spec.settle_ns, scrub_laps=2 if media_plan else 0)
+    settle(env, setup, spec.settle_ns, scrub_laps=2 if media_plan else 0)
 
     # -- audit through real client GETs --------------------------------------
     # Raw slot reads would misreport legitimately-invalidated versions
@@ -407,10 +407,15 @@ def run_chaos_experiment(
     )
 
 
-def _settle(
+def settle(
     env: Environment, setup: Any, settle_ns: float, *, scrub_laps: int = 0
 ) -> None:
     """Let asynchronous machinery (verifier, scrubber) drain.
+
+    Runs the simulation in 50 µs steps until every live server's
+    background-verifier backlog is 0, or ``settle_ns`` has elapsed.
+    Every driver (runner, load engine, bench, crash, crash matrix,
+    chaos) settles through this one function.
 
     ``scrub_laps`` additionally requires the scrubber (when running) to
     complete that many further passes over the table before settling.

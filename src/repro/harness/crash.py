@@ -30,6 +30,7 @@ from typing import Any, Optional
 
 from repro.core.recovery import RecoveryReport, recover_bucketized, recover_erda
 from repro.errors import MemoryAccessError, QPError, RDMAError, StoreError
+from repro.harness.chaos import settle
 from repro.kv.hopscotch import HopscotchTable
 from repro.kv.objects import HEADER_SIZE, object_size, parse_header, parse_object
 from repro.rdma.rpc import RpcFault
@@ -166,11 +167,7 @@ def run_crash_experiment(spec: CrashSpec) -> CrashReport:
             yield from c.put(keys[kid], make_value(kid, 0, spec.value_len))
 
     env.run(env.process(preload(), name="preload"))
-    background = getattr(server, "background", None)
-    for _ in range(40):
-        env.run(until=env.now + 50_000.0)
-        if background is None or background.backlog == 0:
-            break
+    settle(env, setup, 2_000_000.0)
 
     # -- concurrent clients until the crash ---------------------------------------
     def client_proc(i: int) -> Generator[Event, Any, None]:

@@ -54,6 +54,7 @@ from repro.errors import (
 from repro.faults.injector import FaultInjector, arm_store, disarm_store
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.sites import crash_matrix_sites
+from repro.harness.chaos import settle
 from repro.harness.crash import read_value_state
 from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Environment, Event, Interrupt
@@ -245,7 +246,7 @@ class _Instance:
                 yield from c.put(self.keys[kid], make_value(kid, 0, spec.value_len))
 
         env.run(env.process(preload(), name="matrix-preload"))
-        self._settle()
+        settle(env, self.setup, spec.settle_ns)
 
         # Arm only now: crash-point indexes count from the start of the
         # faulted window, not the preload.
@@ -266,7 +267,7 @@ class _Instance:
             if not self.state["crashed"]:
                 if cleaner.is_alive:
                     cleaner.interrupt("done")
-                self._settle()
+                settle(env, self.setup, spec.settle_ns)
                 self.server.stop()
         except PowerFailure:
             pass
@@ -389,15 +390,6 @@ class _Instance:
         self.injector.crash_hook = hook
 
     # -- plumbing ---------------------------------------------------------------
-    def _settle(self) -> None:
-        env = self.env
-        deadline = env.now + self.spec.settle_ns
-        background = getattr(self.server, "background", None)
-        while env.now < deadline:
-            env.run(until=min(deadline, env.now + 50_000.0))
-            if background is None or background.backlog == 0:
-                break
-
     def _drain(self, ns: float) -> None:
         """Advance time past interrupt deliveries, swallowing any
         residual crash escalation."""

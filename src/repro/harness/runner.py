@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import StoreError
+from repro.harness.chaos import settle
 from repro.harness.metrics import LatencyRecorder
 from repro.rdma.rpc import RpcFault
 from repro.sim.kernel import Environment, Event
 from repro.sim.rng import RngRegistry
-from repro.stores import StoreSetup, build_store
+from repro.stores import build_store
 from repro.workloads.keyspace import make_key, make_value
 from repro.workloads.ycsb import WorkloadSpec
 
@@ -37,7 +38,7 @@ class RunSpec:
     ops_per_client: int = 800
     warmup_ops: int = 100
     seed: int = 42
-    settle_ns: float = 20_000_000.0  # generous: _settle exits early once the backlog drains
+    settle_ns: float = 20_000_000.0  # generous: settle exits early once the backlog drains
     config_overrides: dict = field(default_factory=dict)
 
     @property
@@ -114,7 +115,7 @@ def run_experiment(spec: RunSpec, post_setup=None) -> RunResult:
             yield from client.put(keys[kid], make_value(kid, 0, w.value_len))
 
     env.run(env.process(preload(), name="preload"))
-    _settle(env, setup, spec.settle_ns)
+    settle(env, setup, spec.settle_ns)
     if post_setup is not None:
         post_setup(env, setup)
 
@@ -173,15 +174,3 @@ def run_experiment(spec: RunSpec, post_setup=None) -> RunResult:
         fallback_reads=fallback,
         rpc_only_reads=rpc_only,
     )
-
-
-def _settle(env: Environment, setup: StoreSetup, settle_ns: float) -> None:
-    """Let asynchronous machinery (eFactory's background thread) drain."""
-    if settle_ns <= 0:
-        return
-    deadline = env.now + settle_ns
-    background = getattr(setup.server, "background", None)
-    while env.now < deadline:
-        env.run(until=min(deadline, env.now + 50_000.0))
-        if background is None or background.backlog == 0:
-            break

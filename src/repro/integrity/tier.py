@@ -11,7 +11,7 @@ Layout (per partition, per pool, carved after the log pools when
 * **checksum ledger** — one 8-byte slot per ``pool.align`` granule:
   ``(size, crc32)`` of the *covered* object starting at that granule.
 * **root line** — in integrity-tree mode, a CRC over the sorted ledger
-  (a one-level Merkle collapse), persisted with each verifier batch.
+  (a one-level Merkle collapse), persisted with each verifier settle.
   Each covered object's packed ``(offset, size, crc)`` root record is
   cached, in offset order, beside its ledger entry, so the root is one
   CRC call over the cached records rather than one call per entry.
@@ -370,7 +370,7 @@ class PoolIntegrity:
 
 class PartitionIntegrity:
     """Per-partition facade tying the pools' parity/ledger state to the
-    verifier batches, the scrubber and recovery."""
+    verifier's settles, the scrubber and recovery."""
 
     def __init__(
         self,
@@ -469,19 +469,16 @@ class PartitionIntegrity:
     def reconstruct_cost_bytes(self, loc: Any) -> int:
         return self.by_pool[loc.pool].reconstruct_cost_bytes(loc.offset, loc.size)
 
-    # -- batch settle + flush (the verifier's coalesced path) ---------------
-    def settle_batch(
-        self, items: Iterable[tuple[Any, Optional[bytes]]]
-    ) -> Generator[Event, Any, None]:
-        total = 0
-        for loc, raw in items:
-            total += loc.size
-            self.note_settled_checked(loc, raw)
-        if total:
-            # XOR + CRC work to fold the batch into parity and ledger.
-            yield self.env.timeout(
-                self.timing.copy_cost(total) + self.crc_cost.cost_ns(total)
-            )
+    # -- settle + flush (one freshly persisted object) -----------------------
+    def settle(self, loc: Any, raw: Optional[bytes]) -> Generator[Event, Any, None]:
+        """Fold one object that just became durable into parity and the
+        ledger (``raw``: its verified pre-persist bytes), then flush the
+        integrity metadata."""
+        self.note_settled_checked(loc, raw)
+        # XOR + CRC work to fold the object into parity and ledger.
+        yield self.env.timeout(
+            self.timing.copy_cost(loc.size) + self.crc_cost.cost_ns(loc.size)
+        )
         yield from self.flush()
 
     def flush(self) -> Generator[Event, Any, None]:

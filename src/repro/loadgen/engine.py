@@ -35,6 +35,7 @@ from repro.errors import ConfigError, StoreError
 from repro.faults.injector import arm_store
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
+from repro.harness.chaos import settle
 from repro.harness.metrics import LatencyRecorder, summarize
 from repro.loadgen.tenants import TenantSpec
 from repro.rdma.rpc import RpcFault
@@ -255,7 +256,7 @@ def run_load(spec: LoadSpec) -> LoadReport:
                 yield from client.put_many(items[lo:lo + _PRELOAD_CHUNK])
 
     env.run(env.process(preload(), name="preload"))
-    _settle(env, setup, spec.settle_ns)
+    settle(env, setup, spec.settle_ns)
 
     # Pregenerate every client's op stream (fixed rng-stream creation
     # order keeps the run deterministic).
@@ -433,15 +434,3 @@ def run_load(spec: LoadSpec) -> LoadReport:
         admission=admission,
         resilience=res,
     )
-
-
-def _settle(env: Environment, setup, settle_ns: float) -> None:
-    """Let asynchronous machinery (eFactory's background thread) drain."""
-    if settle_ns <= 0:
-        return
-    deadline = env.now + settle_ns
-    background = getattr(setup.server, "background", None)
-    while env.now < deadline:
-        env.run(until=min(deadline, env.now + 50_000.0))
-        if background is None or background.backlog == 0:
-            break

@@ -20,7 +20,7 @@ def _items(n: int, vlen: int = 64):
     return [(_key(i), bytes([i % 251]) * vlen) for i in range(n)]
 
 
-BATCHED = dict(put_batch=8, put_window=2, bg_batch=8, loc_cache_size=64)
+BATCHED = dict(put_batch=8, put_window=2, loc_cache_size=64)
 
 
 class TestEquivalence:
